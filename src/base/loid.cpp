@@ -1,7 +1,7 @@
 #include "base/loid.h"
 
+#include <charconv>
 #include <ostream>
-#include <sstream>
 
 namespace legion {
 
@@ -24,9 +24,14 @@ const char* ToString(LoidSpace space) {
 }
 
 std::string Loid::ToString() const {
-  std::ostringstream os;
-  os << legion::ToString(space_) << ':' << domain_ << '/' << serial_;
-  return os.str();
+  char digits[24];  // fits any 64-bit value
+  char* const last = digits + sizeof(digits);
+  std::string text = legion::ToString(space_);
+  text += ':';
+  text.append(digits, std::to_chars(digits, last, domain_).ptr);
+  text += '/';
+  text.append(digits, std::to_chars(digits, last, serial_).ptr);
+  return text;
 }
 
 std::ostream& operator<<(std::ostream& os, const Loid& loid) {

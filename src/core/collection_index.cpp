@@ -23,50 +23,92 @@ void MapErase(Map& map, const Key& key, const Loid& member) {
   if (it->second.empty()) map.erase(it);
 }
 
+// True when `a` and `b` occupy the same index entries, so replacing one
+// by the other needs no index work.  As blind to kind as the index is:
+// int and double share the numeric key (NaN has none), and every list
+// lives in the presence set only.
+bool IndexedAlike(const AttrValue& a, const AttrValue& b) {
+  if (a.is_numeric() && b.is_numeric()) {
+    const double x = a.as_double();
+    const double y = b.as_double();
+    return x == y || (std::isnan(x) && std::isnan(y));
+  }
+  if (a.is_list() && b.is_list()) return true;
+  return a == b;
+}
+
 }  // namespace
 
-void AttributeIndexes::Add(const Loid& member, const AttributeDatabase& attrs) {
-  for (const auto& [name, value] : attrs) {
-    if (value.is_null()) continue;
-    PerAttribute& index = attrs_[name];
+void AttributeIndexes::PerAttribute::Insert(const AttrValue& value,
+                                            const Loid& member) {
+  if (value.is_string()) {
+    MapInsert(by_string, value.as_string(), member);
+  } else if (value.is_numeric()) {
+    const double key = value.as_double();
+    if (!std::isnan(key)) MapInsert(by_number, key, member);
+  } else if (value.is_bool()) {
+    by_bool[value.as_bool() ? 1 : 0].insert(member);
+  }
+  // Lists are reachable through the presence index only.
+}
+
+void AttributeIndexes::PerAttribute::Erase(const AttrValue& value,
+                                           const Loid& member) {
+  if (value.is_string()) {
+    MapErase(by_string, value.as_string(), member);
+  } else if (value.is_numeric()) {
+    const double key = value.as_double();
+    if (!std::isnan(key)) MapErase(by_number, key, member);
+  } else if (value.is_bool()) {
+    by_bool[value.as_bool() ? 1 : 0].erase(member);
+  }
+}
+
+void AttributeIndexes::Replace(const Loid& member, const std::string& name,
+                               const AttrValue& before,
+                               const AttrValue& after) {
+  if (IndexedAlike(before, after)) return;
+  auto it = attrs_.find(name);
+  if (it == attrs_.end()) it = attrs_.try_emplace(name).first;
+  PerAttribute& index = it->second;
+  // Presence moves only when the attribute appears or disappears.
+  if (before.is_null()) {
     index.present.insert(member);
-    if (value.is_string()) {
-      MapInsert(index.by_string, value.as_string(), member);
-    } else if (value.is_numeric()) {
-      const double key = value.as_double();
-      if (!std::isnan(key)) MapInsert(index.by_number, key, member);
-    } else if (value.is_bool()) {
-      index.by_bool[value.as_bool() ? 1 : 0].insert(member);
-    }
-    // Lists are reachable through the presence index only.
-  }
-}
-
-void AttributeIndexes::Remove(const Loid& member,
-                              const AttributeDatabase& attrs) {
-  for (const auto& [name, value] : attrs) {
-    if (value.is_null()) continue;
-    auto it = attrs_.find(name);
-    if (it == attrs_.end()) continue;
-    PerAttribute& index = it->second;
+  } else if (after.is_null()) {
     index.present.erase(member);
-    if (value.is_string()) {
-      MapErase(index.by_string, value.as_string(), member);
-    } else if (value.is_numeric()) {
-      const double key = value.as_double();
-      if (!std::isnan(key)) MapErase(index.by_number, key, member);
-    } else if (value.is_bool()) {
-      index.by_bool[value.as_bool() ? 1 : 0].erase(member);
+  }
+  index.Erase(before, member);
+  index.Insert(after, member);
+  if (index.empty()) attrs_.erase(it);
+}
+
+void AttributeIndexes::Update(const Loid& member,
+                              const AttributeDatabase& before,
+                              const AttributeDatabase& after) {
+  static const AttrValue kAbsent;
+  auto old_it = before.begin();
+  auto new_it = after.begin();
+  while (old_it != before.end() || new_it != after.end()) {
+    // < 0: only in before, > 0: only in after, 0: in both.
+    int order = 1;
+    if (new_it == after.end()) {
+      order = -1;
+    } else if (old_it != before.end()) {
+      order = old_it->first.compare(new_it->first);
     }
-    if (index.present.empty() && index.by_string.empty() &&
-        index.by_number.empty() && index.by_bool[0].empty() &&
-        index.by_bool[1].empty()) {
-      attrs_.erase(it);
+    if (order < 0) {
+      Replace(member, old_it->first, old_it->second, kAbsent);
+      ++old_it;
+    } else if (order > 0) {
+      Replace(member, new_it->first, kAbsent, new_it->second);
+      ++new_it;
+    } else {
+      Replace(member, new_it->first, old_it->second, new_it->second);
+      ++old_it;
+      ++new_it;
     }
   }
 }
-
-void AttributeIndexes::Clear() { attrs_.clear(); }
 
 void AttributeIndexes::PredicateInto(const query::SargablePredicate& pred,
                                      std::vector<Loid>* out) const {

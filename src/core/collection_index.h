@@ -11,10 +11,11 @@
 //   * presence -> member set of records carrying a non-null value
 //     (serves defined($attr); lists appear only here).
 //
-// Maintained incrementally by the Collection on join/update/leave under
-// the store's write lock; Eval() runs under the shared lock.  Member
-// sets are ordered by LOID, so candidate lists come out sorted in the
-// Collection's canonical result order for free.
+// Maintained incrementally by the Collection through one diff routine,
+// Update(): join, update and leave all move a member from its old record
+// to its new one, touching only the attributes whose indexed value
+// changed.  Member sets are ordered by LOID, so candidate lists come out
+// sorted in the Collection's canonical result order for free.
 //
 // The candidate contract matches planner.h: for any record matching the
 // full query, the plan's candidate set contains it.  Range boundaries
@@ -37,12 +38,16 @@ namespace legion {
 
 class AttributeIndexes {
  public:
-  // Index every attribute of `attrs` for `member`.  The caller keeps
-  // Add/Remove paired with the stored record so the structures never
-  // drift from the store.
-  void Add(const Loid& member, const AttributeDatabase& attrs);
-  void Remove(const Loid& member, const AttributeDatabase& attrs);
-  void Clear();
+  // Moves `member`'s index entries from its `before` record to its
+  // `after` record.  An ordered merge over the two (name-sorted)
+  // databases unindexes and reindexes only the attributes whose indexed
+  // footprint differs, so a push that changed one attribute costs one
+  // entry move.  Join is the degenerate case with an empty `before`,
+  // leave the one with an empty `after`.  The caller passes the record
+  // it stored before and after, so the structures never drift from the
+  // store.
+  void Update(const Loid& member, const AttributeDatabase& before,
+              const AttributeDatabase& after);
 
   // The result of evaluating an index plan.
   struct Candidates {
@@ -63,13 +68,33 @@ class AttributeIndexes {
 
   std::size_t attribute_count() const { return attrs_.size(); }
 
+  // Structural equality: same attributes, keys and member sets.  Lets a
+  // diff-maintained index be checked against one rebuilt from scratch.
+  friend bool operator==(const AttributeIndexes&,
+                         const AttributeIndexes&) = default;
+
  private:
   struct PerAttribute {
     std::unordered_map<std::string, std::set<Loid>> by_string;
     std::map<double, std::set<Loid>> by_number;
     std::set<Loid> by_bool[2];
     std::set<Loid> present;
+
+    // The value-kind entry for `value` (nothing for null, lists or NaN).
+    void Insert(const AttrValue& value, const Loid& member);
+    void Erase(const AttrValue& value, const Loid& member);
+    bool empty() const {
+      return present.empty() && by_string.empty() && by_number.empty() &&
+             by_bool[0].empty() && by_bool[1].empty();
+    }
+    friend bool operator==(const PerAttribute&,
+                           const PerAttribute&) = default;
   };
+
+  // Moves one attribute's entries from `before` to `after` (null stands
+  // for absent).
+  void Replace(const Loid& member, const std::string& name,
+               const AttrValue& before, const AttrValue& after);
 
   void EvalInto(const query::IndexPlan& plan, std::vector<Loid>* out) const;
   void PredicateInto(const query::SargablePredicate& pred,

@@ -68,9 +68,10 @@ void DataCollectionDaemon::PollNow() {
                     CollectionObject& c, Callback<bool> reply) {
                   c.UpdateEntryAs(caller, resource, attrs, std::move(reply));
                 },
-                [](Result<bool>) {});
+                [](Result<bool>) {}, "update_entry_as");
           }
-        });
+        },
+        "pull_attributes");
   }
   ++polls_completed_;
 }

@@ -57,7 +57,8 @@ void ImplementationCacheObject::EnsureBinary(const Loid& class_loid,
         auto waiters = std::move(pending_[key]);
         pending_.erase(key);
         for (auto& waiter : waiters) waiter(ok);
-      });
+      },
+      "fetch_binary");
 }
 
 }  // namespace legion

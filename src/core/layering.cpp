@@ -60,7 +60,7 @@ void ApplicationCoordinator::QuerySnapshot(Callback<CollectionData> done) {
       [](CollectionObject& collection, Callback<CollectionData> reply) {
         collection.QueryCollection("defined($host_arch)", std::move(reply));
       },
-      std::move(done));
+      std::move(done), "query_collection");
 }
 
 Result<std::vector<ObjectMapping>> ApplicationCoordinator::RandomMappings(
@@ -172,7 +172,8 @@ void ApplicationCoordinator::NegotiateAndInstantiate(
               trace.instances_started = state->instances;
               state->done(std::move(trace));
             }
-          });
+          },
+          "create_instance");
     }
   };
 
@@ -204,7 +205,8 @@ void ApplicationCoordinator::NegotiateAndInstantiate(
             state->failed = true;
           }
           if (--state->outstanding == 0) instantiate();
-        });
+        },
+        "make_reservation");
   }
 }
 
@@ -260,8 +262,10 @@ void ApplicationCoordinator::PlacePlusRm(const PlacementRequest& request,
                   }
                 }
                 done(std::move(trace));
-              });
-        });
+              },
+              "enact_schedule");
+        },
+        "make_reservations");
   });
 }
 
@@ -282,7 +286,8 @@ void ApplicationCoordinator::PlaceCombined(const PlacementRequest& request,
         PlacementTrace result = trace.ok() ? *trace : PlacementTrace{};
         result.latency = kernel()->Now() - started;
         done(std::move(result));
-      });
+      },
+      "place_as_service");
 }
 
 void ApplicationCoordinator::PlaceAsService(const PlacementRequest& request,
@@ -314,7 +319,8 @@ void ApplicationCoordinator::PlaceSeparate(const PlacementRequest& request,
           }
         }
         done(std::move(trace));
-      });
+      },
+      "schedule_and_enact");
 }
 
 }  // namespace legion

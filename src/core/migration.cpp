@@ -41,7 +41,8 @@ void Reactivate(const std::shared_ptr<MigrationState>& state) {
           return;
         }
         state->Finish(true, "");
-      });
+      },
+      "reactivate_object");
 }
 
 void MoveOpr(const std::shared_ptr<MigrationState>& state) {
@@ -81,10 +82,12 @@ void MoveOpr(const std::shared_ptr<MigrationState>& state) {
                                            Callback<bool> reply) {
                     vault.DeleteOpr(object, std::move(reply));
                   },
-                  [](Result<bool>) {});
+                  [](Result<bool>) {}, "delete_opr");
               Reactivate(state);
-            });
-      });
+            },
+            "store_opr");
+      },
+      "fetch_opr");
 }
 
 }  // namespace
@@ -121,7 +124,8 @@ void MigrateObject(SimKernel* kernel, const Loid& agent, const Loid& object,
           return;
         }
         MoveOpr(state);
-      });
+      },
+      "deactivate_object");
 }
 
 }  // namespace legion

@@ -124,7 +124,8 @@ void NetworkObject::PushMatrix() {
             sink.UpdateCollectionEntry(member, snapshot, std::move(reply));
           }
         },
-        [](Result<bool>) {});
+        [](Result<bool>) {},
+        "push_matrix");
   }
 }
 

@@ -113,7 +113,8 @@ void ClassObject::CreateInstancesOn(const PlacementSuggestion& suggestion,
           for (const auto& instance : *result) instances_.push_back(instance);
         }
         done(std::move(result));
-      });
+      },
+      "start_object");
 }
 
 void ClassObject::CreateInstance(std::optional<PlacementSuggestion> suggestion,
@@ -172,7 +173,8 @@ void ClassObject::TryDefaultPlacement(std::size_t attempts_left,
           return;
         }
         TryDefaultPlacement(attempts_left - 1, std::move(done));
-      });
+      },
+      "start_object");
 }
 
 void ClassObject::SetKnownResources(

@@ -243,7 +243,7 @@ void CallOn(SimKernel* kernel, const Loid& from, const Loid& to,
             std::size_t request_bytes, std::size_t reply_bytes,
             Duration timeout,
             std::function<void(Iface&, Callback<T>)> method,
-            Callback<T> done, const char* op = "rpc") {
+            Callback<T> done, const char* op) {
   kernel->AsyncCall<T>(
       from, to, request_bytes, reply_bytes, timeout,
       [kernel, to, method = std::move(method)](Callback<T> reply) {

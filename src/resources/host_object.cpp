@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 namespace legion {
 
@@ -349,7 +350,7 @@ void HostObject::LaunchObjects(const StartObjectRequest& request,
             cache.EnsureBinary(request.class_loid, request.implementation,
                                request.binary_bytes, std::move(reply));
           },
-          std::move(proceed));
+          std::move(proceed), "ensure_binary");
     } else {
       // Direct pull from the class: the reply carries the whole binary.
       kernel()->AsyncCall<bool>(
@@ -359,7 +360,7 @@ void HostObject::LaunchObjects(const StartObjectRequest& request,
            class_loid = request.class_loid](Callback<bool> reply) {
             reply(kernel->FindActor(class_loid) != nullptr);
           },
-          std::move(proceed));
+          std::move(proceed), "fetch_binary");
     }
     return;
   }
@@ -498,7 +499,8 @@ void HostObject::DeactivateObject(const Loid& object, Callback<bool> done) {
         }
         ReleaseObject(object, /*kill=*/false);
         done(true);
-      });
+      },
+      "store_opr");
 }
 
 void HostObject::ReactivateObject(const Loid& object, const Loid& vault,
@@ -558,7 +560,8 @@ void HostObject::ReactivateObject(const Loid& object, const Loid& vault,
         ++objects_started_;
         RepopulateAttributes();
         done(true);
-      });
+      },
+      "fetch_opr");
 }
 
 // ---- Information reporting --------------------------------------------------
@@ -577,7 +580,8 @@ void HostObject::VaultOk(const Loid& vault, Callback<bool> done) {
       },
       [done = std::move(done)](Result<bool> r) {
         done(r.ok() && *r);
-      });
+      },
+      "probe_vault");
 }
 
 // ---- Configuration ------------------------------------------------------------
@@ -684,20 +688,23 @@ void HostObject::PushToCollections() {
   if (collections_.empty()) return;
   const bool join = !joined_collections_;
   joined_collections_ = true;
+  // One immutable snapshot shared by every push: the wire size is the
+  // kMediumMessage constant, so sharing changes nothing simulated.
+  auto snapshot = std::make_shared<const AttributeDatabase>(attributes());
   for (const Loid& collection : collections_) {
-    AttributeDatabase snapshot = attributes();
     CallOn<bool, CollectionSink>(
         kernel(), loid(), collection, kMediumMessage, kSmallMessage,
         kDefaultRpcTimeout,
         [join, member = loid(), snapshot](CollectionSink& sink,
                                           Callback<bool> reply) {
           if (join) {
-            sink.JoinCollection(member, snapshot, std::move(reply));
+            sink.JoinCollection(member, *snapshot, std::move(reply));
           } else {
-            sink.UpdateCollectionEntry(member, snapshot, std::move(reply));
+            sink.UpdateCollectionEntry(member, *snapshot, std::move(reply));
           }
         },
-        [](Result<bool>) { /* push is fire-and-forget */ });
+        [](Result<bool>) { /* push is fire-and-forget */ },
+        join ? "join_collection" : "update_collection");
   }
 }
 

@@ -154,13 +154,15 @@ class SimKernel {
   // calls the reply callback the result is delivered back to the caller
   // after reply latency.  If no reply lands before `timeout`, `done` gets
   // ErrorCode::kTimeout (this also covers dropped messages).  `done` is
-  // invoked exactly once.  `op` names the call in traces and must be a
-  // static string ("query_collection", "make_reservation", ...).
+  // invoked exactly once.  `op` names the call in traces and in the
+  // profiler's rpc/<op> buckets and must be a static string
+  // ("query_collection", "make_reservation", ...); it has no default, so
+  // an unnamed call site does not compile.
   template <typename T>
   void AsyncCall(const Loid& from, const Loid& to, std::size_t request_bytes,
                  std::size_t reply_bytes, Duration timeout,
                  std::function<void(Callback<T>)> invoke, Callback<T> done,
-                 const char* op = "rpc");
+                 const char* op);
 
  private:
   // Pre-resolved registry cells for the kernel's own hot-path metrics.

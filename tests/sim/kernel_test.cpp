@@ -109,7 +109,7 @@ TEST(KernelTest, AsyncCallDeliversReply) {
   kernel.AsyncCall<int>(
       a, b, 64, 64, Duration::Seconds(5),
       [](Callback<int> reply) { reply(41 + 1); },
-      [&](Result<int> r) { got = std::move(r); });
+      [&](Result<int> r) { got = std::move(r); }, "test_rpc");
   kernel.Run();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 42);
@@ -130,7 +130,8 @@ TEST(KernelTest, AsyncCallTimesOutWhenCalleeSilent) {
       [&](Result<int> r) {
         fired = true;
         got = std::move(r);
-      });
+      },
+      "test_rpc");
   kernel.Run();
   EXPECT_TRUE(fired);
   EXPECT_FALSE(got.ok());
@@ -154,7 +155,7 @@ TEST(KernelTest, AsyncCallTimesOutOnDroppedRequest) {
         callee_ran = true;
         reply(1);
       },
-      [&](Result<int> r) { got = std::move(r); });
+      [&](Result<int> r) { got = std::move(r); }, "test_rpc");
   kernel.Run();
   EXPECT_FALSE(callee_ran);
   EXPECT_EQ(got.code(), ErrorCode::kTimeout);
@@ -173,7 +174,7 @@ TEST(KernelTest, AsyncCallDoneFiresExactlyOnce) {
         kernel.ScheduleAfter(Duration::Seconds(1),
                              [reply] { reply(7); });
       },
-      [&](Result<int>) { ++calls; });
+      [&](Result<int>) { ++calls; }, "test_rpc");
   kernel.Run();
   EXPECT_EQ(calls, 1);
 }
